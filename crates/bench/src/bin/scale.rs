@@ -171,7 +171,7 @@ fn main() {
     // tasks. From the moment B's backlog is queued, deficit-round-
     // robin dispatch must interleave 1:1 (equal weights): while B
     // drains, A completes one task per B task, not a flood's worth.
-    // The experiment runs on a flat runtime — fairness is orthogonal
+    // The experiment runs on a retaining runtime — fairness is orthogonal
     // to streaming, and pre-queuing the full flood is exactly what
     // backpressure would forbid.
     let (nb, spin_iters) = if small {

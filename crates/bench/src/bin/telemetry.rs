@@ -340,7 +340,7 @@ fn self_check() {
     let events = v["journal"]["events"].as_array().expect("journal.events");
     assert!(!events.is_empty(), "journal captured no events");
     // The ring capacity scales with the worker count (see
-    // `RuntimeConfig::journal_cap`); a high drop rate means the sizing
+    // `Telemetry::new`); a high drop rate means the sizing
     // regressed back to losing most of the run's events.
     let drop_rate = v["journal"]["drop_rate"]
         .as_f64()

@@ -8,12 +8,12 @@
 //!
 //! # Handle lifetime and staleness
 //!
-//! On a flat runtime (the default) a handle stays readable for the
-//! runtime's whole life: the tables only grow. On a *streaming*
-//! runtime ([`crate::RuntimeConfig::stream`]) a handle's slot is
-//! recycled once the datum can never be read again — after the driver
-//! declares it dead with [`crate::Runtime::release`], or after an
-//! INOUT task consumed it ([`crate::TaskBuilder::run1_inout`] steals
+//! On a retaining runtime (the default) a handle stays readable for
+//! the runtime's whole life: nothing ever retires from the tables. On a
+//! *reclaiming* runtime ([`crate::RuntimeConfig::stream`]) a handle's
+//! slot is recycled once the datum can never be read again — after the
+//! driver declares it dead with [`crate::Runtime::release`], or after
+//! an INOUT task consumed it ([`crate::TaskBuilder::run1_inout`] steals
 //! the old version; the *returned* handle names the new one) — and
 //! every already-submitted reader has finished. Ids are generational
 //! underneath (`arena::Store` tracks per-slot liveness and ids are
@@ -21,8 +21,9 @@
 //! detected: the runtime panics with a `"stale handle"` error rather
 //! than returning another datum's bytes. Releasing is always safe to
 //! do early — a release only marks driver intent, and the slot holds
-//! on until readers submitted *before* the release have consumed it;
-//! on a flat runtime `release` is free and changes nothing.
+//! on until readers submitted *before* the release (fusion-buffered
+//! ones included) have consumed it; on a retaining runtime `release`
+//! is free and changes nothing.
 
 use std::marker::PhantomData;
 

@@ -73,8 +73,8 @@ pub use handle::{DataId, Handle, TaskId};
 pub use obs::{Profile, RuntimeStats, SimProfile};
 pub use payload::Payload;
 pub use runtime::{
-    live_worker_threads, ExecMode, Runtime, RuntimeConfig, StreamConfig, TableStats, TaskBuilder,
-    TaskCtx, Tenant, TenantStats,
+    ExecMode, Runtime, RuntimeConfig, StreamConfig, TableStats, TaskBuilder, TaskCtx, Tenant,
+    TenantStats, WorkerCensus,
 };
 pub use telemetry::{
     Divergence, Event, EventKind, HistogramSnapshot, Journal, LogHistogram, Registry,

@@ -32,9 +32,10 @@
 //! sub-millisecond tasks) where per-task overhead dominates:
 //!
 //! * **Dense tables.** [`TaskId`]s and [`DataId`]s are handed out
-//!   sequentially, so every per-task and per-datum lookup is a plain
-//!   `Vec` index — no hashing anywhere on the hot path. A task's id
-//!   doubles as its record index in the trace.
+//!   sequentially, so every per-task and per-datum lookup is an index
+//!   into a paged arena ([`crate::arena::Store`]) — no hashing anywhere
+//!   on the hot path. A task's id doubles as its record index in the
+//!   trace.
 //! * **Release-time resolution.** A task that becomes ready is turned
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
@@ -58,7 +59,7 @@
 //!   a `wait`/`barrier` is actually blocked.
 //! * **Clean shutdown.** Dropping the last [`Runtime`] clone signals
 //!   shutdown and joins every worker; no threads outlive the runtime
-//!   (observable via [`live_worker_threads`]).
+//!   (observable via [`Runtime::worker_census`]).
 
 use crate::arena::{Store, StoreStats};
 use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
@@ -91,27 +92,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Number of scheduler worker threads currently alive process-wide.
-/// Returns to its previous value once every threaded [`Runtime`] has
-/// been dropped — the drop joins its workers.
-pub fn live_worker_threads() -> usize {
-    LIVE_WORKERS.load(Ordering::SeqCst)
-}
+/// Worker-thread count of one threaded [`Runtime`], readable after the
+/// runtime is gone (see [`Runtime::worker_census`]). Each runtime owns
+/// its own counter, so runtimes started and stopped concurrently never
+/// disturb each other's count.
+#[derive(Clone, Debug)]
+pub struct WorkerCensus(Arc<AtomicUsize>);
 
-static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-struct WorkerGuard;
-
-impl WorkerGuard {
-    fn new() -> Self {
-        LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-        WorkerGuard
+impl WorkerCensus {
+    /// Worker threads of the runtime that have not yet exited: the
+    /// worker count while the runtime lives, 0 once its last clone is
+    /// dropped (the drop joins every worker).
+    pub fn live(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
     }
 }
 
+/// Moved into each worker thread; decrements the census when the
+/// thread exits (or when its closure is dropped unrun).
+struct WorkerGuard(Arc<AtomicUsize>);
+
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -155,27 +158,25 @@ pub struct RuntimeConfig {
     /// Off by default — fusion trades submission eagerness (tasks only
     /// start at the next `wait`/`peek`/`barrier` or when the window
     /// fills) for lower scheduling cost, which pays off on fine-grained
-    /// block pipelines.
+    /// block pipelines. Composes with `stream`: there the window is
+    /// capped at the `high` watermark, so buffered submissions count
+    /// against the same bound as in-flight tasks.
     pub fuse: bool,
-    /// Streaming submission mode for DAGs too large to materialize
-    /// (1M+ tasks): task/data/record table slots are **recycled** once
-    /// a task is done and its outputs consumed (INOUT steal) or
-    /// explicitly [`Runtime::release`]d, keeping the resident set
-    /// bounded; the watermarks add driver **backpressure** — a
-    /// `submit` that would push in-flight tasks past `high` parks the
-    /// submitting thread (helping drain the queues first) until the
-    /// scheduler drains to `low`. Reads of recycled handles fail with
-    /// a named `"stale handle"` error, never a silent wrong read.
-    /// Mutually exclusive with `fuse` (the fusion window's contiguous
-    /// pre-allocated output ranges assume a non-recycling table).
-    /// `None` (the default) keeps the dense flat tables: zero overhead
-    /// and full trace retention.
+    /// Retention policy of the task/data/record tables, for DAGs too
+    /// large to keep whole (1M+ tasks). `Some` makes the runtime
+    /// **reclaim** slots once a task is done and its outputs consumed
+    /// (INOUT steal, or fused member-to-member) or explicitly
+    /// [`Runtime::release`]d, keeping the resident set bounded; the
+    /// watermarks add driver **backpressure** — a submission (or a
+    /// fusion-window flush) that pushes in-flight tasks past `high`
+    /// parks the submitting thread until the scheduler drains to
+    /// `low`. Reads of recycled handles fail with a named `"stale
+    /// handle"` error, never a silent wrong read; the trace then covers
+    /// only still-resident tasks. `None` (the default) retains every
+    /// entry for the runtime's life, so [`Runtime::trace`] is the full
+    /// history. Both policies use the same paged tables and maintain
+    /// the same in-flight gauge ([`Runtime::table_stats`]).
     pub stream: Option<StreamConfig>,
-    /// Telemetry journal capacity per executor shard (events). `0`
-    /// (the default) auto-scales to the worker count so a 10k-task
-    /// run no longer overflows the ring (the former fixed 512-slot
-    /// default dropped ~75% of events at that scale).
-    pub journal_cap: usize,
     /// Locality-aware scheduling (threaded mode): every committed
     /// datum is stamped with the worker that produced it, each ready
     /// task carries an affinity hint (the last-touch worker of its
@@ -219,7 +220,6 @@ impl Default for RuntimeConfig {
             telemetry: true,
             fuse: false,
             stream: None,
-            journal_cap: 0,
             locality: true,
         }
     }
@@ -258,10 +258,8 @@ impl TaskCtx {
             telemetry: self.telemetry,
             fuse: self.fuse,
             // Child graphs are small (bounded by the parent task's
-            // scope): no streaming reclamation, default journal,
-            // default locality.
+            // scope): full retention, default locality.
             stream: None,
-            journal_cap: 0,
             locality: true,
         });
         *lock(&self.child) = Some(rt.clone());
@@ -313,12 +311,13 @@ struct DataEntry {
     /// INOUT task may steal the buffer only when this is zero *and* the
     /// store holds the only live `Arc` (no dispatched-but-running
     /// reader, no driver-side `peek`/`wait` clone). Failure cascades
-    /// leak increments (their `make_run` never runs), which only makes
-    /// later consumers fall back to the copy path — conservative.
+    /// that drop an undispatched body give its reads back (see
+    /// [`abandon_job`]), so the count is exact.
     pending_reads: usize,
     /// The driver declared it is done with this datum
-    /// ([`Runtime::release`]): in streaming mode the entry is retired
-    /// as soon as it is produced and no submitted reader remains.
+    /// ([`Runtime::release`]): on a reclaiming runtime the entry is
+    /// retired as soon as it is produced and no submitted reader
+    /// remains.
     released: bool,
     /// Worker whose cache most recently held this value: the producer
     /// that committed it (stamped in `execute_one`), or [`DRIVER`]
@@ -473,11 +472,11 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
             }
         }
     }
-    // Streaming reclamation sweep: a datum this dispatch consumed
-    // (`Slot::Moved`) or that the driver already released is dead once
-    // its pending-reader count hits zero — retire it now, under the
-    // same lock that resolved it.
-    if st.stream {
+    // Reclamation sweep: a datum this dispatch consumed (`Slot::Moved`)
+    // or that the driver already released is dead once its
+    // pending-reader count hits zero — retire it now, under the same
+    // lock that resolved it.
+    if st.reclaim {
         for k in 0..st.records[ti].inputs.len() {
             let d = st.records[ti].inputs[k].0;
             retire_data_if_idle(st, d);
@@ -500,8 +499,9 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
 /// consumed by an INOUT steal (`Moved`) or explicitly released by the
 /// driver after being produced. Retiring the last live output of a
 /// `Done` task retires the task entry and its record too — the
-/// whole per-task footprint leaves the tables. Streaming mode only
-/// (flat stores ignore `retire`), caller holds the state lock.
+/// whole per-task footprint leaves the tables. Called only on
+/// reclaiming runtimes ([`RuntimeConfig::stream`]); caller holds the
+/// state lock.
 fn retire_data_if_idle(st: &mut State, d: DataId) {
     let di = d.0 as usize;
     let Some(e) = st.data.get_opt(di) else { return };
@@ -548,7 +548,7 @@ struct TaskEntry {
     /// fatal to `barrier` ([`OnFailure::Fail`]/[`OnFailure::Retry`])
     /// or tolerated ([`OnFailure::CancelSuccessors`]).
     on_failure: OnFailure,
-    /// Outputs still resident in the data table (streaming mode):
+    /// Outputs still resident in the data table (reclaiming runtimes):
     /// when the last one retires and the task is `Done`, the task
     /// entry and its record retire with it.
     live_outputs: u32,
@@ -558,16 +558,17 @@ struct State {
     data: Store<DataEntry>,
     tasks: Store<TaskEntry>,
     records: Store<TaskRecord>,
-    /// Mirror of `RuntimeConfig::stream.is_some()` (the tables above
-    /// are then paged): gates every reclamation sweep with one branch.
-    stream: bool,
+    /// Mirror of `RuntimeConfig::stream.is_some()`: whether dead slots
+    /// retire from the tables above. Gates every reclamation sweep
+    /// with one branch.
+    reclaim: bool,
     /// Mirror of `RuntimeConfig::locality` (false in inline mode,
     /// where every execution is the driver): gates the affinity-hint
     /// computation in [`make_run`] with one branch.
     locality: bool,
     /// Tasks submitted with a body and not yet terminal — the quantity
-    /// the streaming watermarks throttle on (maintained only when
-    /// `stream` is on).
+    /// the stream watermarks throttle on (maintained on every runtime;
+    /// only a [`StreamConfig`] throttles on it).
     in_flight: u64,
     peak_in_flight: u64,
     /// `since_barrier` length that triggers the next streaming prune
@@ -585,6 +586,47 @@ struct State {
     /// whenever a worker is idle, so eager execution is preserved; an
     /// idle worker also drains it directly (see [`flush_staged`]).
     staged: Vec<ReadyRun>,
+}
+
+impl State {
+    /// Audit of the scheduler's bookkeeping, run at every barrier in
+    /// debug builds (tests run it on every runtime). Panics unless:
+    /// * `in_flight` counts exactly the tasks that still hold a job or
+    ///   were dispatched and are not yet terminal;
+    /// * every datum's `pending_reads` equals its undispatched readers;
+    /// * no undispatched task reads a retired datum, and no live task
+    ///   names a retired task as dependent.
+    fn check_invariants(&self) {
+        let mut in_flight = 0u64;
+        let mut reads = vec![0usize; self.data.len()];
+        for (ti, t) in self.tasks.iter_live() {
+            if t.job.is_some() || t.status == Status::Ready {
+                in_flight += 1;
+            }
+            for dep in &t.dependents {
+                assert!(
+                    self.tasks.get_opt(dep.0 as usize).is_some(),
+                    "task {ti} names retired dependent {dep:?}"
+                );
+            }
+            if t.job.is_some() {
+                for (d, _) in &self.records[ti].inputs {
+                    assert!(
+                        self.data.get_opt(d.0 as usize).is_some(),
+                        "undispatched task {ti} reads retired datum {d:?}"
+                    );
+                    reads[d.0 as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(self.in_flight, in_flight, "in-flight gauge drifted");
+        for (di, e) in self.data.iter_live() {
+            assert_eq!(
+                e.pending_reads, reads[di],
+                "pending_reads of d{di} differs from its undispatched readers"
+            );
+        }
+    }
 }
 
 /// A submission parked in the fusion window: everything
@@ -865,11 +907,11 @@ pub struct TableStats {
     pub tasks: StoreStats,
     pub data: StoreStats,
     pub records: StoreStats,
-    /// Tasks submitted with a body and not yet terminal (streaming
-    /// mode only; 0 otherwise).
+    /// Tasks submitted with a body and not yet terminal (0 after a
+    /// `barrier` with no concurrent submitter).
     pub in_flight: u64,
     /// High-water mark of `in_flight` — bounded by the stream `high`
-    /// watermark plus scheduler slack.
+    /// watermark plus scheduler slack when a [`StreamConfig`] is set.
     pub peak_in_flight: u64,
 }
 
@@ -926,6 +968,7 @@ struct Shared {
 struct Inner {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    census: WorkerCensus,
 }
 
 impl Drop for Inner {
@@ -975,22 +1018,21 @@ impl Runtime {
         self.inner.shared.config.fuse
     }
 
-    /// Builds a runtime from an explicit configuration.
+    /// This runtime's worker-thread count, as a handle that outlives
+    /// the runtime: a leak check keeps it across the drop and expects
+    /// [`WorkerCensus::live`] to read 0 afterwards.
+    pub fn worker_census(&self) -> WorkerCensus {
+        self.inner.census.clone()
+    }
+
+    /// Builds a runtime from an explicit configuration. Every
+    /// combination of `fuse` and `stream` is valid.
     ///
     /// # Panics
-    /// Panics when `stream` and `fuse` are both set (the fusion
-    /// window's contiguous pre-allocated output ranges are incompatible
-    /// with slot recycling), or when the stream watermarks are invalid
-    /// (`low > high` or `high == 0`).
+    /// Panics when the stream watermarks are invalid (`low > high` or
+    /// `high == 0`).
     pub fn with_config(config: RuntimeConfig) -> Self {
-        let streaming = config.stream.is_some();
         if let Some(sc) = config.stream {
-            assert!(
-                !config.fuse,
-                "RuntimeConfig::stream and RuntimeConfig::fuse are mutually \
-                 exclusive: the fusion window pre-allocates contiguous output \
-                 id ranges that slot recycling would invalidate"
-            );
             assert!(
                 sc.high > 0 && sc.low <= sc.high,
                 "invalid stream watermarks: need 0 < low <= high, \
@@ -1007,22 +1049,10 @@ impl Runtime {
         let shared = Arc::new(Shared {
             config,
             state: Mutex::new(State {
-                data: if streaming {
-                    Store::paged("data")
-                } else {
-                    Store::flat()
-                },
-                tasks: if streaming {
-                    Store::paged("task")
-                } else {
-                    Store::flat()
-                },
-                records: if streaming {
-                    Store::paged("record")
-                } else {
-                    Store::flat()
-                },
-                stream: streaming,
+                data: Store::new("data"),
+                tasks: Store::new("task"),
+                records: Store::new("record"),
+                reclaim: config.stream.is_some(),
                 locality: config.locality && n_workers > 0,
                 in_flight: 0,
                 peak_in_flight: 0,
@@ -1051,25 +1081,29 @@ impl Runtime {
             fault_active: AtomicBool::new(false),
             epoch,
             counters: Arc::new(Counters::new(n_workers)),
-            telemetry: (config.metrics && config.telemetry).then(|| {
-                Arc::new(Telemetry::new_with_cap(
-                    n_workers,
-                    config.journal_cap,
-                    epoch,
-                ))
-            }),
+            telemetry: (config.metrics && config.telemetry)
+                .then(|| Arc::new(Telemetry::new(n_workers, epoch))),
         });
+        let census = WorkerCensus(Arc::new(AtomicUsize::new(n_workers)));
         let workers = (0..n_workers)
             .map(|i| {
                 let s = shared.clone();
+                let guard = WorkerGuard(census.0.clone());
                 std::thread::Builder::new()
                     .name(format!("taskrt-worker-{i}"))
-                    .spawn(move || worker_loop(s, i))
+                    .spawn(move || {
+                        let _guard = guard;
+                        worker_loop(s, i)
+                    })
                     .expect("spawn scheduler worker")
             })
             .collect();
         Runtime {
-            inner: Arc::new(Inner { shared, workers }),
+            inner: Arc::new(Inner {
+                shared,
+                workers,
+                census,
+            }),
         }
     }
 
@@ -1137,13 +1171,14 @@ impl Runtime {
             .collect()
     }
 
-    /// Declares the driver done with `h`. On a streaming runtime
+    /// Declares the driver done with `h`. On a reclaiming runtime
     /// ([`RuntimeConfig::stream`]) the datum's table slot is reclaimed
     /// as soon as it is produced and every already-submitted reader
     /// has consumed it; reading the handle afterwards fails with a
     /// named `"stale handle"` error. Tasks submitted *before* the
-    /// release still read the value normally. No-op on non-streaming
-    /// runtimes.
+    /// release still read the value normally — including readers still
+    /// buffered in the fusion window, which is drained first. No-op on
+    /// retaining runtimes.
     pub fn release<T: Payload>(&self, h: Handle<T>) {
         self.release_id(h.id);
     }
@@ -1154,6 +1189,9 @@ impl Runtime {
         if shared.config.stream.is_none() {
             return;
         }
+        // Buffered readers register their pending reads only when they
+        // materialize; until then the slot would look idle.
+        self.flush_fuse(FlushKind::Drain);
         let mut st = lock(&shared.state);
         if let Some(e) = st.data.get_opt_mut(id.0 as usize) {
             e.released = true;
@@ -1162,9 +1200,9 @@ impl Runtime {
     }
 
     /// Liveness snapshot of the task/data/record tables plus the
-    /// in-flight gauge — how the streaming runtime's bounded resident
+    /// in-flight gauge — how a reclaiming runtime's bounded resident
     /// set is observed (and gated, by `bench --bin scale`). On a
-    /// non-streaming runtime everything reads as live.
+    /// retaining runtime nothing ever retires.
     pub fn table_stats(&self) -> TableStats {
         self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
@@ -1356,6 +1394,9 @@ impl Runtime {
                         matches!(e.status, Status::Done | Status::Failed | Status::Cancelled)
                     })
                 }) {
+                    if cfg!(debug_assertions) {
+                        st.check_invariants();
+                    }
                     return;
                 }
                 if idle {
@@ -1417,9 +1458,9 @@ impl Runtime {
         self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
         Trace {
-            // Streaming mode retires records with their tasks, so the
-            // trace covers only still-resident tasks there; flat mode
-            // (the default) keeps everything.
+            // A reclaiming runtime retires records with their tasks, so
+            // the trace covers only still-resident tasks there; a
+            // retaining runtime (the default) keeps everything.
             records: st.records.iter_live().map(|(_, r)| r.clone()).collect(),
         }
     }
@@ -1779,7 +1820,11 @@ impl Runtime {
                     tenant,
                     f,
                 }));
-                (first_out, window.len() >= FUSE_WINDOW)
+                // A reclaiming runtime bounds the window by its high
+                // watermark: every buffered output is a table slot the
+                // flush allocates at once.
+                let cap = shared.config.stream.map_or(FUSE_WINDOW, |sc| sc.high);
+                (first_out, window.len() >= cap.min(FUSE_WINDOW))
             };
             if overflow {
                 self.flush_fuse(FlushKind::Drain);
@@ -1812,14 +1857,10 @@ impl Runtime {
         if wake_n > 0 {
             wake(shared, wake_n);
         }
-        // Streaming backpressure: park (after helping drain) when the
-        // in-flight count crossed the high watermark. Inline mode
-        // already drained everything in `run_worklist` above.
-        if let Some(sc) = shared.config.stream {
-            if !shared.queues.is_empty() {
-                throttle(shared, sc);
-            }
-        }
+        // Backpressure: park (after helping drain) when the in-flight
+        // count crossed the high watermark. Inline mode already drained
+        // everything in `run_worklist` above.
+        throttle(shared, true);
         outputs
     }
 
@@ -1948,13 +1989,13 @@ fn submit_locked(
         t.submitted.fetch_add(1, Ordering::Relaxed);
     }
     st.since_barrier.push(tid);
-    // Streaming: `since_barrier` would otherwise grow one id per task
+    // Reclaiming: `since_barrier` would otherwise grow one id per task
     // for the life of the run. Completed (or recycled) entries can
     // never fail a future barrier — prune them whenever the list
     // doubles past the last mark, keeping it proportional to live
-    // tasks. Non-streaming runs keep the full list (the barrier
-    // marker's dep list documents the complete DAG there).
-    if st.stream && st.since_barrier.len() >= st.prune_mark {
+    // tasks. Retaining runs keep the full list (the barrier marker's
+    // dep list documents the complete DAG there).
+    if st.reclaim && st.since_barrier.len() >= st.prune_mark {
         let State {
             since_barrier,
             tasks,
@@ -2073,12 +2114,8 @@ fn submit_locked(
         // Backpressure gauge: one increment per task that will
         // actually execute (markers and failed/cancelled-in-place
         // tasks never enter the scheduler).
-        if st.stream {
-            st.in_flight += 1;
-            if st.in_flight > st.peak_in_flight {
-                st.peak_in_flight = st.in_flight;
-            }
-        }
+        st.in_flight += 1;
+        st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
     }
 
     // Dispatch, still under the state lock. Inline: resolve now
@@ -2379,11 +2416,16 @@ fn flush_fuse(shared: &Shared, kind: FlushKind) {
                         }
                         Planned::Fused(fused) => {
                             // Internally consumed data never
-                            // materializes; retire it exactly as an
-                            // INOUT steal would have, so a post-window
-                            // read fails loudly instead of hanging.
-                            for d in &fused.moved_internal {
+                            // materializes; mark it consumed exactly as
+                            // an INOUT steal would have (and reclaim
+                            // it, having no producer and no reader), so
+                            // a post-window read fails loudly instead
+                            // of hanging.
+                            for &d in &fused.moved_internal {
                                 st.data[d.0 as usize].slot = Slot::Moved(0);
+                                if st.reclaim {
+                                    retire_data_if_idle(&mut st, d);
+                                }
                             }
                             fused_dispatched.push((st.tasks.len() as u64, fused.members));
                             submit_locked(
@@ -2411,6 +2453,10 @@ fn flush_fuse(shared: &Shared, kind: FlushKind) {
             if wake_n > 0 {
                 wake(shared, wake_n);
             }
+            // Backpressure per chunk, as `submit_inner` applies it per
+            // task — but park only: helping would run task bodies under
+            // the window lock.
+            throttle(shared, false);
             if let Some(t) = &shared.telemetry {
                 let at = Instant::now();
                 for (tid, members) in fused_dispatched {
@@ -2815,14 +2861,22 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
     }
 }
 
-/// Streaming backpressure: blocks the submitting thread until in-flight
-/// tasks drain to the low watermark. Mirrors the cooperative-wait shape
-/// of `block_on`: help execute queued tasks first, park on the condvar
-/// only after a dry pass (every completion already notifies when a
-/// waiter is registered). The high→low hysteresis means a parked driver
+/// Stream backpressure: when a [`StreamConfig`] is set on a threaded
+/// runtime and in-flight tasks reached the high watermark, blocks the
+/// submitting thread until they drain to the low one. With `help` it
+/// mirrors the cooperative-wait shape of `block_on`: execute queued
+/// tasks first, park on the condvar only after a dry pass (every
+/// completion already notifies when a waiter is registered); without
+/// it, it only parks. The high→low hysteresis means a parked driver
 /// wakes into a burst of submission headroom instead of bouncing off
 /// the high mark once per task.
-fn throttle(shared: &Shared, sc: StreamConfig) {
+fn throttle(shared: &Shared, help: bool) {
+    let Some(sc) = shared.config.stream else {
+        return;
+    };
+    if shared.queues.is_empty() {
+        return;
+    }
     {
         let st = lock(&shared.state);
         if (st.in_flight as usize) < sc.high {
@@ -2837,7 +2891,7 @@ fn throttle(shared: &Shared, sc: StreamConfig) {
             if (st.in_flight as usize) <= sc.low {
                 return;
             }
-            if idle {
+            if idle || !help {
                 st.waiters += 1;
                 let park_t0 = shared.config.metrics.then(Instant::now);
                 let mut st = shared
@@ -3026,7 +3080,6 @@ fn has_work(shared: &Shared, me: usize) -> bool {
 }
 
 fn worker_loop(shared: Arc<Shared>, me: usize) {
-    let _guard = WorkerGuard::new();
     let mut newly: Vec<ReadyRun> = Vec::new(); // reused across all tasks
     let mut scratch: Vec<ReadyRun> = Vec::new(); // batch-acquisition buffer
     'outer: loop {
@@ -3373,7 +3426,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 // dependent's dispatch may steal the last output and
                 // retire this task's record out from under us.
                 let out_ids: Option<Vec<DataId>> = st
-                    .stream
+                    .reclaim
                     .then(|| rec.outputs.iter().map(|(d, _)| *d).collect());
                 st.tasks[ti].status = Status::Done;
 
@@ -3406,8 +3459,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     for d in out_ids {
                         retire_data_if_idle(st, d);
                     }
-                    st.in_flight -= 1;
                 }
+                st.in_flight -= 1;
             }
             Err((start, _end, duration)) => {
                 let n = attempts.len();
@@ -3426,12 +3479,10 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 rec.start_s = start.saturating_duration_since(shared.epoch).as_secs_f64();
                 rec.worker = who;
                 rec.attempts = attempts;
-                if st.stream {
-                    // The failing task leaves the in-flight window here;
-                    // its dependents leave as the cones below cancel or
-                    // fail them (each still holds its undispatched job).
-                    st.in_flight -= 1;
-                }
+                // The failing task leaves the in-flight window here; its
+                // dependents leave as the cones below cancel or fail
+                // them (each still holds its undispatched job).
+                st.in_flight -= 1;
                 match fault.on_failure {
                     OnFailure::Fail | OnFailure::Retry => {
                         if metrics && fault.on_failure == OnFailure::Retry {
@@ -3442,13 +3493,10 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         // up and report instead of deadlocking.
                         let mut frontier = vec![task];
                         while let Some(t) = frontier.pop() {
+                            abandon_job(st, t.0 as usize);
                             let e = &mut st.tasks[t.0 as usize];
-                            if st.stream && e.job.is_some() {
-                                st.in_flight -= 1;
-                            }
                             e.status = Status::Failed;
                             e.failure = Some(full.clone());
-                            e.job = None;
                             frontier.append(&mut e.dependents);
                         }
                     }
@@ -3495,32 +3543,42 @@ fn panic_message(e: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "task panicked".to_string())
 }
 
+/// Drops the undispatched body of task `ti`, if it still holds one (a
+/// failure cascade or cancellation reached it): the task leaves the
+/// in-flight window and gives back its pending reads, which may leave
+/// a released or consumed input idle enough to retire.
+fn abandon_job(st: &mut State, ti: usize) {
+    if st.tasks[ti].job.take().is_none() {
+        return;
+    }
+    st.in_flight -= 1;
+    for k in 0..st.records[ti].inputs.len() {
+        let d = st.records[ti].inputs[k].0;
+        st.data[d.0 as usize].pending_reads -= 1;
+        if st.reclaim {
+            retire_data_if_idle(st, d);
+        }
+    }
+}
+
 /// Cancels every transitive dependent of `origin` that has not yet run:
-/// status [`Status::Cancelled`], body dropped, outputs poisoned with
-/// `reason` (so later submissions reading them cancel in place too).
-/// Dropped bodies leak their `pending_reads` registrations — harmless:
-/// later INOUT consumers just fall back to the copy path. Returns how
-/// many tasks were cancelled.
+/// status [`Status::Cancelled`], body dropped (see [`abandon_job`]),
+/// outputs poisoned with `reason` (so later submissions reading them
+/// cancel in place too). Returns how many tasks were cancelled.
 fn cancel_dependents(st: &mut State, origin: usize, reason: &Arc<str>) -> u64 {
     let mut n = 0;
     let mut frontier = std::mem::take(&mut st.tasks[origin].dependents);
     while let Some(t) = frontier.pop() {
         let idx = t.0 as usize;
-        {
-            let e = &mut st.tasks[idx];
-            if !matches!(e.status, Status::Waiting | Status::Ready) {
-                continue; // finished, failed, or already cancelled
-            }
-            if st.stream && e.job.is_some() {
-                // Never dispatched — leaves the in-flight window here.
-                // (A `Ready` task already handed its job to a queued
-                // run; that run's completion does the decrement.)
-                st.in_flight -= 1;
-            }
-            e.status = Status::Cancelled;
-            e.job = None;
-            frontier.append(&mut e.dependents);
+        if !matches!(st.tasks[idx].status, Status::Waiting | Status::Ready) {
+            continue; // finished, failed, or already cancelled
         }
+        // A `Ready` task already handed its job to a queued run; that
+        // run's completion leaves the in-flight window instead.
+        abandon_job(st, idx);
+        let e = &mut st.tasks[idx];
+        e.status = Status::Cancelled;
+        frontier.append(&mut e.dependents);
         for (d, _) in &st.records[idx].outputs {
             st.data[d.0 as usize].slot = Slot::Poisoned(reason.clone());
         }
@@ -4029,6 +4087,11 @@ mod tests {
             .task("sum")
             .run_many(&squares, |xs| xs.iter().copied().sum::<u64>());
         assert_eq!(*rt.wait(total), (0..20).map(|i| i * i).sum::<u64>());
+        // The in-flight gauge runs on retaining runtimes too.
+        rt.barrier();
+        let tables = rt.table_stats();
+        assert!(tables.peak_in_flight > 0);
+        assert_eq!(tables.in_flight, 0);
     }
 
     #[test]

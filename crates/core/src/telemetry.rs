@@ -262,7 +262,7 @@ impl Shard {
 }
 
 /// Floor for the auto-scaled per-shard capacity (see
-/// [`Telemetry::new_with_cap`]): the journal keeps the last `capacity`
+/// [`Telemetry::new`]): the journal keeps the last `capacity`
 /// events per executor and counts the rest as dropped. 512 slots ×
 /// 48 bytes ≈ 24 KiB keeps a ring L1-resident, but as a flat default
 /// it dropped ~75% of a 10k-task run's events; the auto default now
@@ -1301,27 +1301,18 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
+    /// Telemetry for a runtime with `n_workers` workers. The per-shard
+    /// journal capacity is a per-worker share of a fixed overall event
+    /// budget, so wide pools don't multiply the journal's footprint
+    /// while small pools stop dropping the bulk of a 10k-task run (the
+    /// old flat 512-slot rings lost ~75% of events there).
     pub fn new(n_workers: usize, epoch: Instant) -> Self {
-        Self::new_with_cap(n_workers, 0, epoch)
-    }
-
-    /// Like [`Telemetry::new`] but with an explicit per-shard journal
-    /// capacity (see [`crate::RuntimeConfig::journal_cap`]). `0` picks
-    /// the default: a per-worker share of a fixed overall event budget,
-    /// so wide pools don't multiply the journal's footprint while small
-    /// pools stop dropping the bulk of a 10k-task run (the old flat
-    /// 512-slot rings lost ~75% of events there).
-    pub fn new_with_cap(n_workers: usize, cap: usize, epoch: Instant) -> Self {
-        let cap = if cap == 0 {
-            // Overall budget: 32768 events split across the shards
-            // (driver + workers + external), clamped so one shard never
-            // drops below the old default or balloons past 16k slots.
-            (32768 / (n_workers + 2))
-                .next_power_of_two()
-                .clamp(DEFAULT_JOURNAL_CAP, 16384)
-        } else {
-            cap
-        };
+        // Overall budget: 32768 events split across the shards (driver
+        // + workers + external), clamped so one shard never drops below
+        // the old default or balloons past 16k slots.
+        let cap = (32768 / (n_workers + 2))
+            .next_power_of_two()
+            .clamp(DEFAULT_JOURNAL_CAP, 16384);
         Telemetry {
             journal: Journal::new(n_workers, cap, epoch),
             queue_wait: LogHistogram::new(),

@@ -15,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use taskrt::trace::SYNC_TASK;
-use taskrt::{live_worker_threads, Handle, RetryPolicy, Runtime};
+use taskrt::{Handle, RetryPolicy, Runtime, WorkerCensus};
 
 const N_TASKS: usize = 5_000;
 
@@ -151,10 +151,13 @@ fn stress_10k_dag_with_injected_faults_drains_and_matches() {
         }));
     });
 
-    let baseline = live_worker_threads();
-    let clean = random_dag_checksum_n(&Runtime::threaded(4), 11, N, true);
+    let clean_rt = Runtime::threaded(4);
+    let mut censuses = vec![clean_rt.worker_census()];
+    let clean = random_dag_checksum_n(&clean_rt, 11, N, true);
+    drop(clean_rt);
 
     let rt = Runtime::threaded(4);
+    censuses.push(rt.worker_census());
     rt.set_fault_plan(Some(
         taskrt::FaultPlan::new(0xfa11).panic_sampled(None, 0.10, 1),
     ));
@@ -174,18 +177,30 @@ fn stress_10k_dag_with_injected_faults_drains_and_matches() {
         stats.retries
     );
     assert_eq!(stats.giveups, 0, "first-attempt faults never exhaust");
-    assert_eq!(
-        live_worker_threads(),
-        baseline,
-        "worker threads leaked after the fault-injected run"
-    );
+    assert_all_joined(&censuses, "the fault-injected run");
+}
+
+/// Per-runtime leak check: every census must read 0 once its runtime
+/// is dropped. Runtimes owned by concurrently running tests keep their
+/// own censuses, so they cannot disturb this count.
+fn assert_all_joined(censuses: &[WorkerCensus], what: &str) {
+    for (i, c) in censuses.iter().enumerate() {
+        assert_eq!(
+            c.live(),
+            0,
+            "runtime {i} leaked worker threads after {what}"
+        );
+    }
 }
 
 #[test]
 fn stress_no_worker_threads_outlive_dropped_runtimes() {
-    let baseline = live_worker_threads();
+    let mut censuses = Vec::new();
     for round in 0..20 {
         let rt = Runtime::threaded(4);
+        let census = rt.worker_census();
+        assert_eq!(census.live(), 4, "census counts the runtime's workers");
+        censuses.push(census);
         let inputs: Vec<Handle<u64>> = (0..50).map(|i| rt.put(i + round)).collect();
         let squares: Vec<Handle<u64>> = inputs
             .iter()
@@ -196,11 +211,7 @@ fn stress_no_worker_threads_outlive_dropped_runtimes() {
         }
         drop(rt);
     }
-    assert_eq!(
-        live_worker_threads(),
-        baseline,
-        "worker threads leaked after dropping 20 runtimes"
-    );
+    assert_all_joined(&censuses, "dropping 20 runtimes");
 }
 
 #[test]

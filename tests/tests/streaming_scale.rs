@@ -6,8 +6,8 @@
 //! documents:
 //!
 //! 1. **Bit-identity** — recycled-slot runs compute exactly the same
-//!    bits as flat-table runs, over random DAGs (proptest) and long
-//!    INOUT chains, in both execution modes.
+//!    bits as retaining runs, over random DAGs (proptest) and long
+//!    INOUT chains, in both execution modes, with and without fusion.
 //! 2. **Loud staleness** — reading a recycled slot (a released handle,
 //!    or a handle consumed by an INOUT steal) panics with a named
 //!    `"stale handle"` error instead of returning a wrong value.
@@ -18,15 +18,16 @@
 use proptest::prelude::*;
 use taskrt::{ExecMode, Handle, Runtime, RuntimeConfig, StreamConfig};
 
-fn streaming_rt(mode: ExecMode, high: usize, low: usize) -> Runtime {
+fn streaming_rt(mode: ExecMode, high: usize, low: usize, fuse: bool) -> Runtime {
     Runtime::with_config(RuntimeConfig {
         mode,
+        fuse,
         stream: Some(StreamConfig { high, low }),
         ..RuntimeConfig::default()
     })
 }
 
-fn flat_rt(mode: ExecMode) -> Runtime {
+fn retaining_rt(mode: ExecMode) -> Runtime {
     Runtime::with_config(RuntimeConfig {
         mode,
         ..RuntimeConfig::default()
@@ -83,7 +84,8 @@ fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
         outs.push(Some(h));
         // Occasionally tell the runtime we are done with an older
         // handle: on a streaming runtime its slot may be recycled, on
-        // a flat runtime this is a no-op — results must agree anyway.
+        // a retaining runtime this is a no-op — results must agree
+        // anyway.
         if i > 8 && next() % 3 == 0 {
             let j = (next() as usize) % (i - 4);
             if let Some(old) = outs[j].take() {
@@ -108,28 +110,33 @@ fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Recycled-slot runs are bit-identical to flat-table runs, across
-    /// random DAG shapes, seeds, and both execution modes.
+    /// Recycled-slot runs are bit-identical to a retaining inline run,
+    /// across random DAG shapes, seeds, both execution modes, and with
+    /// fusion on or off.
     #[test]
-    fn recycled_runs_are_bit_identical_to_flat(
+    fn recycled_runs_are_bit_identical_to_retaining(
         n in 32usize..220,
         seed in 0u64..1_000_000,
         threads in 0usize..3,
+        fuse in 0u8..2,
     ) {
         let mode = match threads {
             0 => ExecMode::Inline,
             t => ExecMode::Threads(t + 1),
         };
-        let flat = random_dag_checksum(&flat_rt(mode), n, seed);
-        let streamed = random_dag_checksum(&streaming_rt(mode, 64, 32), n, seed);
-        prop_assert_eq!(flat, streamed);
+        let retaining = random_dag_checksum(&retaining_rt(ExecMode::Inline), n, seed);
+        if threads > 0 {
+            prop_assert_eq!(retaining, random_dag_checksum(&retaining_rt(mode), n, seed));
+        }
+        let streamed = random_dag_checksum(&streaming_rt(mode, 64, 32, fuse == 1), n, seed);
+        prop_assert_eq!(retaining, streamed);
     }
 }
 
 #[test]
 #[should_panic(expected = "stale handle")]
 fn released_handle_read_panics_with_named_error() {
-    let rt = streaming_rt(ExecMode::Inline, 64, 32);
+    let rt = streaming_rt(ExecMode::Inline, 64, 32, false);
     let h = rt.task("v").run0(|| 41u64);
     let _ = rt.wait(h); // materialized; driver then declares it dead
     rt.release(h);
@@ -139,11 +146,11 @@ fn released_handle_read_panics_with_named_error() {
 #[test]
 #[should_panic(expected = "stale handle")]
 fn consumed_inout_handle_read_panics_on_streaming_runtime() {
-    let rt = streaming_rt(ExecMode::Inline, 64, 32);
+    let rt = streaming_rt(ExecMode::Inline, 64, 32, false);
     let a = rt.task("v").run0(|| vec![1.0f64; 8]);
     let _b = rt.task("bump").run1_inout(a, |v| v[0] += 1.0);
     // `a` was consumed by the INOUT steal and its slot recycled; a
-    // flat runtime fails the reader task gracefully, a streaming
+    // retaining runtime fails the reader task gracefully, a streaming
     // runtime refuses the stale id at submission.
     let _ = rt.task("read").run1(a, |v| v[0]);
 }
@@ -153,7 +160,7 @@ fn released_slots_are_not_recycled_while_readers_exist() {
     // Releasing a handle that later-submitted tasks still read must
     // not invalidate those reads: the slot only retires once every
     // already-registered reader consumed it.
-    let rt = streaming_rt(ExecMode::Threads(2), 64, 32);
+    let rt = streaming_rt(ExecMode::Threads(2), 64, 32, false);
     let src = rt.task("src").run0(|| 7.0f64);
     let readers: Vec<Handle<f64>> = (0..16)
         .map(|i| rt.task("r").run1(src, move |v| v + i as f64))
@@ -165,43 +172,73 @@ fn released_slots_are_not_recycled_while_readers_exist() {
 }
 
 #[test]
+fn release_while_a_fused_reader_is_buffered_keeps_the_value() {
+    // The reader sits in the fusion window, not yet registered as a
+    // pending reader, when the driver releases its input: the release
+    // must not retire the slot under it.
+    for mode in [ExecMode::Inline, ExecMode::Threads(2)] {
+        let rt = streaming_rt(mode, 64, 32, true);
+        let src = rt.put(7.0f64);
+        let reader = rt.task("r").run1(src, |v| v + 1.0);
+        rt.release(src);
+        assert_eq!(*rt.wait(reader), 8.0);
+        // Once its reader dispatched, the released slot retired.
+        assert!(rt.table_stats().data.retired >= 1);
+    }
+}
+
+#[test]
 fn chain_200k_tasks_bounded_tables_and_watermark() {
     const N: u64 = 200_000;
     const HIGH: usize = 512;
     const LOW: usize = 256;
-    let rt = streaming_rt(ExecMode::Threads(4), HIGH, LOW);
-    let mut acc = rt.task("seed").run0(|| 0u64);
-    for _ in 0..N {
-        acc = rt.task("inc").run1_inout(acc, |v| *v += 1);
+    for fuse in [false, true] {
+        let rt = streaming_rt(ExecMode::Threads(4), HIGH, LOW, fuse);
+        let mut acc = rt.task("seed").run0(|| 0u64);
+        for _ in 0..N {
+            acc = rt.task("inc").run1_inout(acc, |v| *v += 1);
+        }
+        assert_eq!(*rt.wait(acc), N);
+        let stats = rt.table_stats();
+        // Everything was allocated (fusion dispatches fewer tasks, but
+        // every submission still allocates its output datum)...
+        assert!(stats.data.allocated > N);
+        if fuse {
+            assert!(rt.stats().fused_tasks > 0, "the chain never fused");
+        } else {
+            assert!(stats.tasks.allocated >= N);
+        }
+        // ...but the resident set stayed proportional to the
+        // backpressure window: high watermark + completed-but-not-yet-
+        // consumed slack.
+        let bound = (2 * HIGH + 64) as u64;
+        assert!(
+            stats.tasks.peak_live <= bound,
+            "fuse={fuse}: task table peak {} exceeds bound {bound}",
+            stats.tasks.peak_live
+        );
+        assert!(
+            stats.data.peak_live <= 2 * bound,
+            "fuse={fuse}: data table peak {} exceeds bound {}",
+            stats.data.peak_live,
+            2 * bound
+        );
+        assert!(
+            stats.peak_in_flight as usize <= HIGH + 4,
+            "fuse={fuse}: peak in-flight {}",
+            stats.peak_in_flight
+        );
+        // The chain is fully consumed: all but the live tail retired.
+        assert!(stats.tasks.retired + 64 >= stats.tasks.allocated);
+        assert!(stats.data.retired >= N - 64);
     }
-    assert_eq!(*rt.wait(acc), N);
-    let stats = rt.table_stats();
-    // Everything was allocated...
-    assert!(stats.tasks.allocated >= N);
-    // ...but the resident set stayed proportional to the backpressure
-    // window: high watermark + completed-but-not-yet-consumed slack.
-    let bound = (2 * HIGH + 64) as u64;
-    assert!(
-        stats.tasks.peak_live <= bound,
-        "task table peak {} exceeds bound {bound}",
-        stats.tasks.peak_live
-    );
-    assert!(
-        stats.data.peak_live <= 2 * bound,
-        "data table peak {} exceeds bound {}",
-        stats.data.peak_live,
-        2 * bound
-    );
-    assert!(stats.peak_in_flight as usize <= HIGH + 4);
-    // The chain is fully consumed: all but the live tail retired.
-    assert!(stats.tasks.retired >= N - 64);
 }
 
 #[test]
 fn wide_fanout_backpressure_parks_driver_within_watermark() {
     const N: usize = 20_000;
     const HIGH: usize = 1024;
-    let rt = streaming_rt(ExecMode::Threads(4), HIGH, 512);
+    let rt = streaming_rt(ExecMode::Threads(4), HIGH, 512, false);
     let mut sinks = Vec::with_capacity(64);
     for i in 0..N {
         let h = rt.task("leaf").run0(move || i as u64);
@@ -233,7 +270,7 @@ fn wide_fanout_backpressure_parks_driver_within_watermark() {
 
 #[test]
 fn tenant_stats_count_submissions_and_completions() {
-    let rt = streaming_rt(ExecMode::Threads(2), 256, 128);
+    let rt = streaming_rt(ExecMode::Threads(2), 256, 128, false);
     let a = rt.tenant("etl", 3);
     let b = rt.tenant("training", 1);
     let mut outs = Vec::new();
@@ -277,7 +314,7 @@ fn late_tenant_is_not_starved_by_an_earlier_flood() {
         }
         std::hint::black_box(x)
     };
-    let rt = flat_rt(ExecMode::Threads(4));
+    let rt = retaining_rt(ExecMode::Threads(4));
     let a = rt.tenant("bulk", 1);
     let b = rt.tenant("interactive", 1);
     let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
@@ -314,10 +351,10 @@ fn late_tenant_is_not_starved_by_an_earlier_flood() {
 }
 
 #[test]
-fn tenants_work_on_flat_runtimes_too() {
-    // The fair-share layer is orthogonal to streaming: a flat runtime
-    // multiplexes tenants with the same DRR dispatch.
-    let rt = flat_rt(ExecMode::Threads(2));
+fn tenants_work_on_retaining_runtimes_too() {
+    // The fair-share layer is orthogonal to streaming: a retaining
+    // runtime multiplexes tenants with the same DRR dispatch.
+    let rt = retaining_rt(ExecMode::Threads(2));
     let a = rt.tenant("a", 2);
     let h = a.task("t").run0(|| 5u32);
     assert_eq!(*rt.wait(h), 5);
@@ -326,7 +363,7 @@ fn tenants_work_on_flat_runtimes_too() {
 
 #[test]
 fn streaming_trace_keeps_live_records_only() {
-    let rt = streaming_rt(ExecMode::Inline, 64, 32);
+    let rt = streaming_rt(ExecMode::Inline, 64, 32, false);
     let mut acc = rt.task("seed").run0(|| 0u64);
     for _ in 0..100 {
         acc = rt.task("inc").run1_inout(acc, |v| *v += 1);

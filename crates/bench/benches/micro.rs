@@ -76,7 +76,9 @@ fn bench_conv(c: &mut Criterion) {
 
 fn bench_eigh(c: &mut Criterion) {
     let mut group = c.benchmark_group("eigh");
-    for &n in &[16usize, 64, 128] {
+    // 441 is the screening benchmark's covariance order.
+    group.sample_size(10);
+    for &n in &[16usize, 64, 128, 441] {
         let a = Matrix::from_fn(n, n, |r, col| {
             let v = ((r * col) as f64 * 0.01).sin();
             if r == col {

@@ -34,6 +34,10 @@
 //!   finding) against [`dislib::rf::build_tree_legacy`] (per-node
 //!   re-sorting) on the same synthetic dataset, reported as
 //!   trees/second; the trees are asserted identical.
+//! * **eigh** — [`linalg::eigh`] (transposed layout, compact-WY
+//!   accumulation) against [`linalg::eigh::eigh_reference`] (the JAMA
+//!   port) on a rank-deficient covariance (n=441 small, 640 full);
+//!   eigenvalues are asserted bit-identical, eigenvectors within 1e-10.
 //! * **fusion** — the graph-rewrite optimizer
 //!   ([`taskrt::RuntimeConfig::fuse`]): the PR-4 elementwise chain at
 //!   fine-grained blocks fused vs unfused (Melem/s, asserted
@@ -45,9 +49,10 @@
 //! Usage: `cargo run --release -p bench --bin perf -- [--scale small|full]
 //! [--check] [--fuse]` (`small` is the CI smoke setting: fewer
 //! repetitions, smaller shapes; `--check` exits non-zero if any
-//! `speedup_*` field falls below 1.0, fusion changes a value, or the
-//! fused PCA schedule shrinks by less than 30%; `--fuse` additionally
-//! drives the scheduler/obs sections through fusing runtimes).
+//! `speedup_*` field or `eigh.speedup` falls below 1.0, fusion changes
+//! a value, or the fused PCA schedule shrinks by less than 30%;
+//! `--fuse` additionally drives the scheduler/obs sections through
+//! fusing runtimes).
 
 use bench::legacy::{AnyArc as LegacyAnyArc, LegacyRuntime, LegacyTaskFn};
 use bench::report::{write_artifact, Args};
@@ -575,6 +580,56 @@ fn main() {
         2 * rf_per
     );
 
+    // -- eigh: transposed, WY-blocked solver vs the JAMA oracle --------
+    // A rank-deficient covariance shaped like the screening PCA's
+    // (400 samples x 441 features at small scale).
+    let (eig_n, eig_rows) = if small {
+        (441usize, 400usize)
+    } else {
+        (640, 580)
+    };
+    let mut e_rng = StdRng::seed_from_u64(23);
+    let eig_x = Matrix::from_fn(eig_rows, eig_n, |_, c| {
+        (e_rng.random::<f64>() - 0.5) * (1.0 + (c % 7) as f64)
+    });
+    let mut eig_cov = eig_x.t_matmul(&eig_x);
+    eig_cov.scale(1.0 / (eig_rows as f64 - 1.0));
+    let t_eigh = best_of(reps, || {
+        let start = Instant::now();
+        std::hint::black_box(linalg::eigh(&eig_cov));
+        start.elapsed().as_secs_f64()
+    });
+    let t_eigh_ref = best_of(reps, || {
+        let start = Instant::now();
+        std::hint::black_box(linalg::eigh::eigh_reference(&eig_cov));
+        start.elapsed().as_secs_f64()
+    });
+    // Parity: the tridiagonal is the oracle's bit for bit, so the
+    // eigenvalues must be too; eigenvectors differ by rounding only.
+    let (eig_new, eig_old) = (
+        linalg::eigh(&eig_cov),
+        linalg::eigh::eigh_reference(&eig_cov),
+    );
+    assert!(
+        eig_new
+            .values
+            .iter()
+            .zip(&eig_old.values)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "eigh eigenvalues diverged from eigh_reference"
+    );
+    let eig_vec_diff = eig_new.vectors.max_abs_diff(&eig_old.vectors);
+    assert!(
+        eig_vec_diff <= 1e-10,
+        "eigh eigenvectors diverged from eigh_reference: max |dV| = {eig_vec_diff:e}"
+    );
+    let speedup_eigh = t_eigh_ref / t_eigh;
+    println!(
+        "eigh ({eig_n}x{eig_n} covariance of {eig_rows} rows): blocked {:.1} ms | reference {:.1} ms | speedup {speedup_eigh:.2}x (eigenvalues bit-identical, max |dV| {eig_vec_diff:.1e})",
+        t_eigh * 1e3,
+        t_eigh_ref * 1e3
+    );
+
     // -- dataplane: clone-based vs INOUT ds-array ops -----------------
     // The scaler-shaped pipeline (scale, center, divide — all
     // elementwise, repeated) over paper-scale blocks, run once through
@@ -1077,6 +1132,17 @@ fn main() {
                 ("speedup_presorted".into(), Value::Number(speedup_rf)),
             ]),
         ),
+        (
+            "eigh".into(),
+            Value::Object(vec![
+                ("n".into(), Value::Number(eig_n as f64)),
+                ("rows".into(), Value::Number(eig_rows as f64)),
+                ("blocked_s".into(), Value::Number(t_eigh)),
+                ("reference_s".into(), Value::Number(t_eigh_ref)),
+                ("max_vector_diff".into(), Value::Number(eig_vec_diff)),
+                ("speedup".into(), Value::Number(speedup_eigh)),
+            ]),
+        ),
     ]);
     write_artifact("out/perf.json", &doc.pretty()).expect("write out/perf.json");
 
@@ -1100,6 +1166,7 @@ fn main() {
             ("conv.speedup_backward", speedup_conv_b),
             ("stft.speedup_plan", speedup_stft),
             ("rf_split.speedup_presorted", speedup_rf),
+            ("eigh.speedup", speedup_eigh),
             ("dataplane.speedup_inout", speedup_dp),
             ("fusion.speedup_fused", speedup_fused),
         ];
@@ -1176,7 +1243,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "check: all speedup_* fields >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], locality hit rate {:.0}%, steal rate > 50%, telemetry overhead {:.1}% < 5%, fusion bit-identical with {:.0}% fewer PCA dispatches",
+            "check: all speedup_* fields and eigh.speedup >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], locality hit rate {:.0}%, steal rate > 50%, telemetry overhead {:.1}% < 5%, fusion bit-identical with {:.0}% fewer PCA dispatches",
             loc_hit_rate * 100.0,
             obs_overhead * 100.0,
             pca_reduction * 100.0

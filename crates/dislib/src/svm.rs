@@ -2,9 +2,12 @@
 //!
 //! This is the scikit-learn `SVC` stand-in used *inside* each
 //! CascadeSVM task (paper §III-C1: "each of these tasks use
-//! scikit-learn's SVC internally for training"). The solver is Platt's
-//! simplified SMO with a full precomputed Gram matrix — appropriate
-//! because cascade subsets are block-sized (≤ a few hundred samples).
+//! scikit-learn's SVC internally for training"). The solver is SMO over
+//! a precomputed Gram matrix — cascade subsets are block-sized (≤ a few
+//! hundred samples) — with a random partner for each KKT violator and
+//! Platt's error cache: every `E_i = f(x_i) - y_i` is kept current by
+//! one O(m) pass over two rows of the Gram matrix after each accepted
+//! pair step, instead of an O(m) recomputation on every KKT check.
 
 use linalg::{Kernel, Matrix};
 use rand::rngs::StdRng;
@@ -91,6 +94,97 @@ impl SvcModel {
     }
 }
 
+/// SMO working state over a precomputed Gram matrix `k` (exactly
+/// symmetric, so row `i` is column `i`), with Platt's error cache:
+/// `err[i] = f(x_i) - y_i`, `f(x_i) = b + sum_j alpha_j y_j K_ij`.
+struct Smo<'a> {
+    k: &'a Matrix,
+    ys: &'a [f64],
+    c: f64,
+    alpha: Vec<f64>,
+    b: f64,
+    err: Vec<f64>,
+}
+
+impl<'a> Smo<'a> {
+    /// All alphas and `b` start at zero, so every `f(x_i)` is zero.
+    fn new(k: &'a Matrix, ys: &'a [f64], c: f64) -> Self {
+        Self {
+            k,
+            ys,
+            c,
+            alpha: vec![0.0; ys.len()],
+            b: 0.0,
+            err: ys.iter().map(|&y| -y).collect(),
+        }
+    }
+
+    /// One analytic pair step on `(i, j)`: clip `alpha_j` to the box,
+    /// move `alpha_i` along the equality constraint, pick `b`, then
+    /// refresh every cached error in one O(m) pass over rows `i` and
+    /// `j` of K. Returns `false`, changing nothing, when the pair
+    /// cannot move (empty box, non-negative curvature, or a step below
+    /// `1e-5`).
+    fn step(&mut self, i: usize, j: usize) -> bool {
+        let (k, ys, c) = (self.k, self.ys, self.c);
+        let (ei, ej) = (self.err[i], self.err[j]);
+        let (ai_old, aj_old) = (self.alpha[i], self.alpha[j]);
+        let (lo, hi) = if ys[i] != ys[j] {
+            ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
+        } else {
+            ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
+        };
+        if (hi - lo).abs() < 1e-12 {
+            return false;
+        }
+        let eta = 2.0 * k.get(i, j) - k.get(i, i) - k.get(j, j);
+        if eta >= 0.0 {
+            return false;
+        }
+        let mut aj = aj_old - ys[j] * (ei - ej) / eta;
+        aj = aj.clamp(lo, hi);
+        if (aj - aj_old).abs() < 1e-5 {
+            return false;
+        }
+        let ai = ai_old + ys[i] * ys[j] * (aj_old - aj);
+        self.alpha[i] = ai;
+        self.alpha[j] = aj;
+        let b = self.b;
+        let b1 = b - ei - ys[i] * (ai - ai_old) * k.get(i, i) - ys[j] * (aj - aj_old) * k.get(i, j);
+        let b2 = b - ej - ys[i] * (ai - ai_old) * k.get(i, j) - ys[j] * (aj - aj_old) * k.get(j, j);
+        self.b = if ai > 0.0 && ai < c {
+            b1
+        } else if aj > 0.0 && aj < c {
+            b2
+        } else {
+            0.5 * (b1 + b2)
+        };
+        let (di, dj, db) = (ys[i] * (ai - ai_old), ys[j] * (aj - aj_old), self.b - b);
+        for ((e, &kil), &kjl) in self.err.iter_mut().zip(k.row(i)).zip(k.row(j)) {
+            *e += di * kil + dj * kjl + db;
+        }
+        true
+    }
+
+    /// Recomputes every `f(x_i) - y_i` from scratch and checks the
+    /// cache against it, to rounding relative to the terms summed.
+    #[cfg(debug_assertions)]
+    fn assert_error_cache(&self) {
+        for (i, &cached) in self.err.iter().enumerate() {
+            let (mut f, mut scale) = (self.b, 1.0 + self.b.abs());
+            for ((&a, &y), &kij) in self.alpha.iter().zip(self.ys).zip(self.k.row(i)) {
+                f += a * y * kij;
+                scale += (a * kij).abs();
+            }
+            let exact = f - self.ys[i];
+            assert!(
+                (exact - cached).abs() <= 1e-9 * scale,
+                "SMO error cache drifted at sample {i}: cached {cached}, exact {exact}"
+            );
+        }
+    }
+}
+
 /// Trains an SVC on `x` (rows = samples) with 0/1 labels `y`.
 ///
 /// # Panics
@@ -107,80 +201,43 @@ pub fn fit_svc(x: &Matrix, y: &[u8], params: &SvcParams) -> SvcModel {
         "SVC requires both classes present"
     );
 
-    // Precomputed Gram matrix.
     let k = params.kernel.gram(x, x);
-    let mut alpha = vec![0.0f64; m];
-    let mut b = 0.0f64;
+    let mut smo = Smo::new(&k, &ys, params.c);
     let mut rng = StdRng::seed_from_u64(params.seed);
-
-    let f = |alpha: &[f64], b: f64, i: usize, k: &Matrix, ys: &[f64]| -> f64 {
-        let mut acc = b;
-        for (j, &a) in alpha.iter().enumerate() {
-            if a != 0.0 {
-                acc += a * ys[j] * k.get(j, i);
-            }
-        }
-        acc
-    };
 
     let mut passes = 0;
     let mut sweeps = 0;
     while passes < params.max_passes && sweeps < params.max_sweeps {
         sweeps += 1;
         let mut changed = 0;
-        for i in 0..m {
-            let ei = f(&alpha, b, i, &k, &ys) - ys[i];
-            let r = ys[i] * ei;
-            if (r < -params.tol && alpha[i] < params.c) || (r > params.tol && alpha[i] > 0.0) {
+        for (i, &yi) in ys.iter().enumerate() {
+            let r = yi * smo.err[i];
+            let alpha_i = smo.alpha[i];
+            if (r < -params.tol && alpha_i < params.c) || (r > params.tol && alpha_i > 0.0) {
                 // Random partner j != i.
                 let mut j = rng.random_range(0..m - 1);
                 if j >= i {
                     j += 1;
                 }
-                let ej = f(&alpha, b, j, &k, &ys) - ys[j];
-                let (ai_old, aj_old) = (alpha[i], alpha[j]);
-                let (lo, hi) = if ys[i] != ys[j] {
-                    (
-                        (aj_old - ai_old).max(0.0),
-                        (params.c + aj_old - ai_old).min(params.c),
-                    )
-                } else {
-                    (
-                        (ai_old + aj_old - params.c).max(0.0),
-                        (ai_old + aj_old).min(params.c),
-                    )
+                // When it cannot move, Platt's second choice: the
+                // partner with the largest |E_i - E_j|, then every other
+                // one in turn. A sweep without a step is then a fixed
+                // point, not a run of unlucky draws.
+                let stepped = smo.step(i, j) || {
+                    let ei = smo.err[i];
+                    let gap = |l: usize| (ei - smo.err[l]).abs();
+                    let best = (0..m)
+                        .filter(|&l| l != i)
+                        .max_by(|&p, &q| gap(p).total_cmp(&gap(q)))
+                        .expect("m >= 2");
+                    (best != j && smo.step(i, best))
+                        || (1..m)
+                            .map(|off| (j + off) % m)
+                            .any(|l| l != i && l != best && smo.step(i, l))
                 };
-                if (hi - lo).abs() < 1e-12 {
-                    continue;
+                if stepped {
+                    changed += 1;
                 }
-                let eta = 2.0 * k.get(i, j) - k.get(i, i) - k.get(j, j);
-                if eta >= 0.0 {
-                    continue;
-                }
-                let mut aj = aj_old - ys[j] * (ei - ej) / eta;
-                aj = aj.clamp(lo, hi);
-                if (aj - aj_old).abs() < 1e-5 {
-                    continue;
-                }
-                let ai = ai_old + ys[i] * ys[j] * (aj_old - aj);
-                alpha[i] = ai;
-                alpha[j] = aj;
-                let b1 = b
-                    - ei
-                    - ys[i] * (ai - ai_old) * k.get(i, i)
-                    - ys[j] * (aj - aj_old) * k.get(i, j);
-                let b2 = b
-                    - ej
-                    - ys[i] * (ai - ai_old) * k.get(i, j)
-                    - ys[j] * (aj - aj_old) * k.get(j, j);
-                b = if ai > 0.0 && ai < params.c {
-                    b1
-                } else if aj > 0.0 && aj < params.c {
-                    b2
-                } else {
-                    0.5 * (b1 + b2)
-                };
-                changed += 1;
             }
         }
         if changed == 0 {
@@ -189,6 +246,9 @@ pub fn fit_svc(x: &Matrix, y: &[u8], params: &SvcParams) -> SvcModel {
             passes = 0;
         }
     }
+    #[cfg(debug_assertions)]
+    smo.assert_error_cache();
+    let Smo { alpha, b, .. } = smo;
 
     // Extract support vectors (alpha > threshold).
     let sv_idx: Vec<usize> = (0..m).filter(|&i| alpha[i] > 1e-8).collect();
@@ -231,6 +291,46 @@ mod tests {
         let model = fit_svc(&x, &y, &params);
         let pred = model.predict(&x);
         assert!(accuracy(&y, &pred) > 0.97, "acc={}", accuracy(&y, &pred));
+    }
+
+    /// The returned model meets the dual's KKT conditions on its own
+    /// training set within `tol`: `y f(x) >= 1` off the support set,
+    /// `= 1` for free support vectors, `<= 1` at the `C` bound.
+    fn assert_kkt(x: &Matrix, y: &[u8], params: &SvcParams) {
+        let model = fit_svc(x, y, params);
+        let tol = params.tol;
+        for (i, &label) in y.iter().enumerate() {
+            let margin = if label == 1 { 1.0 } else { -1.0 } * model.decision(x.row(i));
+            let alpha = (0..model.n_support())
+                .find(|&s| model.support_vectors.row(s) == x.row(i))
+                .map_or(0.0, |s| model.dual_coef[s].abs());
+            if alpha == 0.0 {
+                assert!(
+                    margin >= 1.0 - tol,
+                    "sample {i} off the support set: y f = {margin}"
+                );
+            } else if alpha >= params.c - 1e-8 {
+                assert!(margin <= 1.0 + tol, "sample {i} at C: y f = {margin}");
+            } else {
+                assert!((margin - 1.0).abs() <= tol, "free SV {i}: y f = {margin}");
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_models_satisfy_kkt_within_tol() {
+        let (x, y) = blobs(40, 2.0, 1);
+        let linear = SvcParams {
+            kernel: Kernel::Linear,
+            ..Default::default()
+        };
+        assert_kkt(&x, &y, &linear);
+        let (x, y) = blobs(40, 2.0, 2);
+        let rbf = SvcParams {
+            kernel: Kernel::Rbf { gamma: 0.5 },
+            ..Default::default()
+        };
+        assert_kkt(&x, &y, &rbf);
     }
 
     #[test]

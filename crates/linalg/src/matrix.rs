@@ -392,11 +392,24 @@ impl Matrix {
         // Every output element is assigned (`*oj =`, never `+=`), so
         // the pool's zero-fill would be pure waste.
         let mut out = Matrix::from_pool_full_overwrite(self.rows, rhs.rows);
+        // `x.matmul_nt(x)` (an SVC's Gram matrix) is symmetric and `dot`
+        // is bitwise symmetric: compute the upper triangle and mirror
+        // it, half the dot products for the same bits.
+        let same = std::ptr::eq(self, rhs);
+        let n = rhs.rows;
         for i in 0..self.rows {
             let a = self.row(i);
-            let o = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            for (j, oj) in o.iter_mut().enumerate() {
+            let first = if same { i } else { 0 };
+            let o = &mut out.data[i * n + first..(i + 1) * n];
+            for (j, oj) in (first..).zip(o.iter_mut()) {
                 *oj = dot(a, rhs.row(j));
+            }
+        }
+        if same {
+            for i in 1..n {
+                for j in 0..i {
+                    out.data[i * n + j] = out.data[j * n + i];
+                }
             }
         }
         out
@@ -659,6 +672,13 @@ mod tests {
         let (hits1, _, _) = crate::pool::stats();
         assert!(hits1 > hits0, "matmul_nt should reuse the dirty buffer");
         assert_eq!(second, reference);
+    }
+
+    #[test]
+    fn self_gram_mirrors_the_general_product_bitwise() {
+        let a = Matrix::from_fn(13, 37, |r, c| ((r * 37 + c) as f64 * 0.07).sin());
+        let general = a.matmul_nt(&a.clone());
+        assert_eq!(a.matmul_nt(&a).as_slice(), general.as_slice());
     }
 
     #[test]
